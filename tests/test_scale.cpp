@@ -5,7 +5,9 @@
 // The golden cells pin the `fanout=full` path bit-exactly (hexfloat
 // doubles, exact integer counters): full fan-out is the paper-faithful
 // protocol and must stay bit-identical across refactors of the broker or
-// the contest machinery. Regenerate only for a deliberate semantic change.
+// the contest machinery. The probe goldens pin probe solicitation the same
+// way while crashes change the alive set mid-run. Regenerate only for a
+// deliberate semantic change.
 
 #include <gtest/gtest.h>
 
@@ -289,6 +291,96 @@ TEST(ScaleCachedGolden, SingleShardIsBitReproducible) {
 TEST(ScaleCachedGolden, FourShardsIsBitReproducible) {
   expect_cached_golden(4, CachedGolden{0x1.3a9be78e1932dp+7, 0x1.439ca103dc7d3p+14, 60u,
                                        240u, 0x1.ep+5, 0x1.ep+8});
+}
+
+// --- probe solicitation under a changing alive set -------------------------
+//
+// Contests solicit from the alive workers, so these cells pin probe
+// selection bit-exactly while crashes and recoveries change that set
+// mid-run: plain probe:k on both kernels, probe:k behind a federated
+// partition mask (null worker slots), and cached:k, whose stale-decline
+// fallback contests solicit too.
+
+struct ProbeGolden {
+  double exec_time_s;
+  double data_load_mb;
+  double avg_turnaround_s;
+  std::uint64_t jobs_completed;
+  std::uint64_t messages_delivered;
+  double events_fired;
+  double contests;
+  double crashes;
+};
+
+void expect_probe_golden(const char* label, const core::ExperimentSpec& spec,
+                         const ProbeGolden& golden) {
+  const auto reports = core::run_experiment(spec);
+  ASSERT_EQ(reports.size(), 1u);
+  const metrics::RunReport& report = reports[0];
+  // Dump actuals in full precision so a deliberate re-golden can copy them
+  // from the failure log.
+  std::printf("probe_golden[%s] = {%a, %a, %a, %lluu, %lluu, %a, %a, %a}\n", label,
+              report.exec_time_s, report.data_load_mb, report.avg_turnaround_s,
+              static_cast<unsigned long long>(report.jobs_completed),
+              static_cast<unsigned long long>(report.messages_delivered),
+              report.stat("sim.events_fired"), report.stat("sched.contests"),
+              report.stat("fault.crashes"));
+  EXPECT_EQ(report.exec_time_s, golden.exec_time_s);
+  EXPECT_EQ(report.data_load_mb, golden.data_load_mb);
+  EXPECT_EQ(report.avg_turnaround_s, golden.avg_turnaround_s);
+  EXPECT_EQ(report.jobs_completed, golden.jobs_completed);
+  EXPECT_EQ(report.messages_delivered, golden.messages_delivered);
+  EXPECT_EQ(report.stat("sim.events_fired"), golden.events_fired);
+  EXPECT_EQ(report.stat("sched.contests"), golden.contests);
+  EXPECT_EQ(report.stat("fault.crashes"), golden.crashes);
+}
+
+core::ExperimentSpec crashing_probe_cell(const std::string& scheduler, std::size_t shards) {
+  core::ExperimentSpec spec = probe_cell(scheduler);
+  spec.faults = fault::FaultPlan::parse("crashes:p=0.5,window=60,down=20");
+  spec.shards = shards;
+  return spec;
+}
+
+TEST(ScaleProbeGolden, CrashingFleetSingleShard) {
+  expect_probe_golden("probe:3,shards=1", crashing_probe_cell("bidding:fanout=probe:3", 1),
+                      ProbeGolden{0x1.4c039e492bc3p+7, 0x1.439ca103dc7d5p+14,
+                                  0x1.17cb0bc84389ap+4, 60u, 508u, 0x1.cfp+9, 0x1p+6,
+                                  0x1.3p+4});
+}
+
+TEST(ScaleProbeGolden, CrashingFleetFourShards) {
+  expect_probe_golden("probe:3,shards=4", crashing_probe_cell("bidding:fanout=probe:3", 4),
+                      ProbeGolden{0x1.3d95256798959p+7, 0x1.439ca103dc7d5p+14,
+                                  0x1.1102a2cfa341p+4, 60u, 508u, 0x1.bcp+9, 0x1p+6,
+                                  0x1.3p+4});
+}
+
+TEST(ScaleProbeGolden, FederatedPartitionMask) {
+  core::ExperimentSpec spec = probe_cell("bidding:fanout=probe:2,fed.partitions=2");
+  spec.faults = fault::FaultPlan::parse("crash:w=1,at=2,down=20;crash:w=6,at=4");
+  expect_probe_golden("probe:2,fed.partitions=2", spec,
+                      ProbeGolden{0x1.3f8e707e175d1p+7, 0x1.439ca103dc7d3p+14,
+                                  0x1.2d87098ef4faep+4, 60u, 544u, 0x1.cb8p+9, 0x1.ep+5,
+                                  0x1p+1});
+}
+
+TEST(ScaleProbeGolden, CachedFallbackContests) {
+  // A negative decline slack keeps a placement only where the worker is well
+  // ahead of the master's cached view, so about half the jobs decline and
+  // re-contest through probe solicitation. Six of the eight workers are down
+  // together for a while, which also drives placement sampling into its
+  // exact alive-scan fallback (fewer than k live candidates).
+  core::ExperimentSpec spec = crashing_probe_cell("bidding:fanout=cached:4,slack=-0.3", 1);
+  spec.worker_count = 8;
+  spec.faults = fault::FaultPlan::parse(
+      "crashes:p=0.5,window=60,down=20;crash:w=0,at=10,down=40;crash:w=1,at=10,down=40;"
+      "crash:w=2,at=10,down=40;crash:w=3,at=10,down=40;crash:w=4,at=10,down=40;"
+      "crash:w=5,at=10,down=40");
+  expect_probe_golden("cached:4", spec,
+                      ProbeGolden{0x1.9bedc5f7c675ap+7, 0x1.439ca103dc7d5p+14,
+                                  0x1.96a9b59f899dcp+5, 60u, 538u, 0x1.d6p+9, 0x1.2p+5,
+                                  0x1.cp+2});
 }
 
 // --- fan-out policy parsing ----------------------------------------------
