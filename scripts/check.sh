@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Full local check: configure, build (warnings are errors), test, run every
-# benchmark harness once, then rebuild the kernel-critical tests under
-# ASan/UBSan and run them — the event core does placement-new/launder tricks
-# that only the sanitizers can vouch for. Usage: scripts/check.sh [build-dir]
+# benchmark harness once, then rebuild and run the whole test suite under
+# ASan/UBSan and the threaded tests under TSan. Usage: scripts/check.sh [build-dir]
 set -euo pipefail
 BUILD="${1:-build-check}"
 cmake -B "$BUILD" -G Ninja -DDLAJA_WERROR=ON
@@ -14,34 +13,25 @@ for bench in "$BUILD"/bench/bench_*; do
   "$bench"
 done
 
-# Kernel-critical and flow-model tests under both sanitizer presets: the
-# event core does placement-new/launder tricks and the flow network recycles
-# generation-tagged slots whose handlers can re-enter it — exactly the
-# lifetime bugs the sanitizers exist to catch. test_fault rides along
-# because the lifecycle slab-parks retries and cancels in-flight lease
-# events, another lifetime-heavy path. test_scale covers the broker's
-# subscriber slab and in-flight message slab (generation-tagged slots,
-# handler re-entry, coalesced batches). test_telemetry rides along because
-# samplers hold raw pointers into the probe registry and the watchdog path
-# dumps mid-run state. test_federation and test_sched_spec ride along
-# because the federated wrapper hands each instance a masked view of the
-# shared fleet (raw WorkerNode pointers nulled outside the partition) and
-# re-routes in-flight jobs across instances on crash/adoption — pointer
-# lifetime paths only the sanitizers can vouch for. The asan preset bundles
-# address+undefined; the ubsan preset runs undefined alone (no shadow
-# memory), which changes layout enough to surface different misuses.
-SAN_TESTS=(test_simulator test_sim_alloc test_stress
-           test_flow test_flow_properties test_flow_alloc test_obs test_fault
-           test_scale test_shard test_telemetry test_sched_spec test_federation)
+# The whole ctest suite under both sanitizer presets: the event core does
+# placement-new/launder tricks, the flow network and the broker recycle
+# generation-tagged slots whose handlers can re-enter them, the lifecycle
+# cancels in-flight lease events, and the federated wrapper hands each
+# instance a masked view of the shared fleet (raw WorkerNode pointers nulled
+# outside the partition) — lifetime paths only the sanitizers can vouch
+# for, and not confined to any fixed subset of the tests. The asan preset
+# bundles address+undefined; the ubsan preset runs undefined alone (no
+# shadow memory), which changes layout enough to surface different misuses.
+# The preset trees use the default generator, so build them in parallel
+# explicitly: the whole instrumented tree is ~10 min per preset at -j4.
+JOBS="$(nproc 2>/dev/null || echo 2)"
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 for PRESET in asan ubsan; do
   echo "==== sanitizer pass ($PRESET)"
   cmake --preset "$PRESET"
-  cmake --build --preset "$PRESET" --target "${SAN_TESTS[@]}" dlaja_fuzz
-  for t in "${SAN_TESTS[@]}"; do
-    "build-$PRESET/tests/$t"
-  done
+  cmake --build --preset "$PRESET" --parallel "$JOBS"
+  ctest --test-dir "build-$PRESET" --output-on-failure --parallel "$JOBS"
   # A short fuzz sweep under the sanitizer: random scenarios reach engine
   # paths (fault x shard x open-arrival combinations) no fixed test pins.
   # Repro files from a failure land inside the build tree, not examples/.
@@ -53,7 +43,8 @@ done
 # that can vouch for the window-barrier protocol (shard sims run in parallel,
 # cross-shard traffic parks in per-shard outboxes drained at barriers).
 # test_thread_pool exercises the pool itself, test_shard the full engine,
-# test_scale the fan-out policies (the cached goldens run under --shards 4),
+# test_scale the fan-out policies (the cached goldens and the crashing
+# probe:k golden run under --shards 4),
 # test_telemetry the per-shard samplers confirmed at window barriers.
 # test_federation rides along for its 4-shard federated golden: N scheduler
 # instances sharing one broker while shard sims run on real threads.
@@ -61,7 +52,7 @@ TSAN_TESTS=(test_thread_pool test_shard test_scale test_telemetry test_federatio
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 echo "==== sanitizer pass (tsan)"
 cmake --preset tsan
-cmake --build --preset tsan --target "${TSAN_TESTS[@]}"
+cmake --build --preset tsan --parallel "$JOBS" --target "${TSAN_TESTS[@]}"
 for t in "${TSAN_TESTS[@]}"; do
   "build-tsan/tests/$t"
 done

@@ -144,6 +144,7 @@ std::vector<workflow::Job> WorkerNode::set_failed(bool failed) {
   std::vector<workflow::Job> lost;
   if (failed_ == failed) return lost;
   failed_ = failed;
+  if (liveness_epoch_ != nullptr) ++*liveness_epoch_;
   if (failed_) {
     for (auto& slot : slots_) {
       if (slot == nullptr) continue;

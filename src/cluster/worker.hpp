@@ -109,6 +109,13 @@ class WorkerNode {
   /// worker themselves.
   [[nodiscard]] std::vector<workflow::Job> set_failed(bool failed);
 
+  /// Points the worker at its engine's liveness epoch: a counter that
+  /// set_failed() bumps whenever the failed() flag actually flips, so a
+  /// reader can cache anything derived from the fleet's alive set and
+  /// rebuild it only when the counter has moved. Null (the default) keeps
+  /// no epoch.
+  void set_liveness_epoch(std::uint64_t* epoch) noexcept { liveness_epoch_ = epoch; }
+
   /// True if `id` is currently held by this worker (queued or in flight).
   /// Used by the lifecycle's lease probe.
   [[nodiscard]] bool has_job(workflow::JobId id) const noexcept;
@@ -189,6 +196,7 @@ class WorkerNode {
   std::unordered_map<storage::ResourceId, std::uint32_t> pending_resources_;
   net::FlowNetwork* flows_ = nullptr;
   bool failed_ = false;
+  std::uint64_t* liveness_epoch_ = nullptr;  ///< bumped when failed_ flips
   /// Reused assumed-local scratch for backlog_cost_s (avoids a heap
   /// allocation per estimate on the bidding / telemetry hot paths).
   mutable std::vector<storage::ResourceId> backlog_scratch_;

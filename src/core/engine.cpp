@@ -76,6 +76,7 @@ Engine::Engine(const std::vector<cluster::WorkerConfig>& fleet,
     workers_.push_back(std::make_unique<cluster::WorkerNode>(
         static_cast<WorkerIndex>(i), cfg, *worker_sim, *network_, node, *worker_metrics,
         seeds_, config_.estimation));
+    workers_.back()->set_liveness_epoch(&liveness_epoch_);
   }
 
   if (config_.shared_bandwidth) {
@@ -225,6 +226,7 @@ Engine::Engine(const std::vector<cluster::WorkerConfig>& fleet,
   ctx.seeds = &seeds_;
   for (auto& worker : workers_) ctx.workers.push_back(worker.get());
   ctx.worker_nodes = worker_nodes_;
+  ctx.liveness_epoch = &liveness_epoch_;
   if (sharded()) {
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       ctx.worker_sims.push_back(&shards_[worker_shard_[i]]->sim);

@@ -278,6 +278,10 @@ class Engine {
   metrics::MetricsCollector metrics_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   std::vector<std::unique_ptr<cluster::WorkerNode>> workers_;
+  /// Bumped by every worker whenever its failed() flag flips; schedulers
+  /// read it through SchedulerContext::liveness_epoch. Per engine, so
+  /// engines running side by side on threads never share it.
+  std::uint64_t liveness_epoch_ = 0;
   std::vector<net::NodeId> worker_nodes_;
   net::NodeId master_node_ = net::kInvalidNode;
   std::shared_ptr<const workflow::Workflow> workflow_;

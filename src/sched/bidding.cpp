@@ -175,11 +175,10 @@ double BiddingScheduler::cached_cost_s(WorkerIndex w, const workflow::Job& job) 
 void BiddingScheduler::place_cached(const workflow::Job& job) {
   // Power-of-k-choices candidate sampling in O(k), not O(fleet): draw
   // distinct indices by rejection from the whole index range on the cache's
-  // own substream — at 10k workers an exact alive-scan per placement would
-  // dominate the decision cost and erase the win over probe contests. Only
-  // when the bounded draws keep hitting failed or duplicate workers (most
-  // of the fleet is down) does it fall back to the exact scan + partial
-  // Fisher-Yates, so termination never depends on luck.
+  // own substream. Only when the bounded draws keep hitting failed or
+  // duplicate workers (most of the fleet is down) does it fall back to a
+  // uniform draw from the exact alive list, so termination never depends
+  // on luck.
   const std::size_t fleet = ctx_.worker_count();
   const auto want =
       fleet == 0 ? 0u
@@ -199,11 +198,8 @@ void BiddingScheduler::place_cached(const workflow::Job& job) {
     probe_scratch_.push_back(w);
   }
   if (probe_scratch_.size() < want || fleet == 0) {
-    probe_scratch_.clear();
-    for (WorkerIndex w = 0; w < fleet; ++w) {
-      if (ctx_.workers[w] != nullptr && !ctx_.workers[w]->failed()) probe_scratch_.push_back(w);
-    }
-    if (probe_scratch_.empty()) {
+    std::vector<WorkerIndex>& alive = alive_workers();
+    if (alive.empty()) {
       // Nobody alive to place on — same terminal handling as a zero-live
       // contest: the lifecycle retries or dead-letters, never a fake assign.
       ++stats_.unassignable_jobs;
@@ -215,14 +211,7 @@ void BiddingScheduler::place_cached(const workflow::Job& job) {
       if (ctx_.notify_unassignable) ctx_.notify_unassignable(job);
       return;
     }
-    const auto k = static_cast<std::uint32_t>(
-        std::min<std::size_t>(want, probe_scratch_.size()));
-    for (std::uint32_t i = 0; i < k; ++i) {
-      const auto j = i + static_cast<std::uint32_t>(cache_rng_->uniform_int(
-                             0, static_cast<std::uint64_t>(probe_scratch_.size() - 1 - i)));
-      std::swap(probe_scratch_[i], probe_scratch_[j]);
-    }
-    probe_scratch_.resize(k);
+    sample_subset(alive, want, *cache_rng_, probe_swaps_, probe_scratch_);
   }
 
   // Score the sampled candidates with the cached bid formula. The
@@ -367,23 +356,26 @@ void BiddingScheduler::master_receive_load_report(const LoadReport& report) {
   cache_.refresh(report.worker, cache_.generation(report.worker), report.backlog_s);
 }
 
+std::vector<WorkerIndex>& BiddingScheduler::alive_workers() {
+  const bool current = ctx_.liveness_epoch != nullptr && alive_epoch_ == *ctx_.liveness_epoch;
+  if (!current) {
+    alive_.clear();
+    for (WorkerIndex w = 0; w < ctx_.worker_count(); ++w) {
+      if (ctx_.workers[w] != nullptr && !ctx_.workers[w]->failed()) alive_.push_back(w);
+    }
+    if (ctx_.liveness_epoch != nullptr) alive_epoch_ = *ctx_.liveness_epoch;
+  }
+  return alive_;
+}
+
 std::uint32_t BiddingScheduler::solicit_probes(std::uint64_t contest_id,
                                                const workflow::Job& job) {
-  probe_scratch_.clear();
-  for (WorkerIndex w = 0; w < ctx_.worker_count(); ++w) {
-    if (ctx_.workers[w] != nullptr && !ctx_.workers[w]->failed()) probe_scratch_.push_back(w);
-  }
-  const auto k = static_cast<std::uint32_t>(
-      std::min<std::size_t>(config_.fanout.probe_k, probe_scratch_.size()));
-  // Partial Fisher-Yates: the first k slots become a uniform k-subset, in
-  // the (seeded) shuffle's order.
+  // A uniform k-subset of the alive workers, in the seeded draw order.
+  sample_subset(alive_workers(), config_.fanout.probe_k, *probe_rng_, probe_swaps_,
+                probe_scratch_);
   probe_targets_.clear();
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const auto j = i + static_cast<std::uint32_t>(probe_rng_->uniform_int(
-                           0, static_cast<std::uint64_t>(probe_scratch_.size() - 1 - i)));
-    std::swap(probe_scratch_[i], probe_scratch_[j]);
-    probe_targets_.push_back(ctx_.worker_nodes[probe_scratch_[i]]);
-  }
+  for (const WorkerIndex w : probe_scratch_) probe_targets_.push_back(ctx_.worker_nodes[w]);
+  const auto k = static_cast<std::uint32_t>(probe_scratch_.size());
   stats_.probes_sent += k;
   if (config_.fanout.cached()) stats_.control_messages += k;  // fallback probes
   ctx_.broker->publish_to(bid_topic_, ctx_.master_node, BidRequest{contest_id, job},
@@ -474,7 +466,7 @@ void BiddingScheduler::master_receive_bid(const BidSubmission& bid) {
   // timeout branch is the scheduled event from open_contest) or every
   // solicited worker (probe fan-out). bids.size() counts distinct workers.
   const std::size_t quorum =
-      config_.fanout.contest_probes() ? contest.solicited : ctx_.active_workers();
+      config_.fanout.contest_probes() ? contest.solicited : alive_workers().size();
   if (contest.bids.size() >= quorum) {
     ++stats_.contests_closed_full;
     close_contest(bid.contest);

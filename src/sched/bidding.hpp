@@ -126,7 +126,7 @@ class BiddingScheduler final : public Scheduler {
     workflow::Job job;
     BidSet bids;
     /// Probe mode: how many workers this contest solicited — the quorum.
-    /// Full mode leaves it 0 and checks against active_workers() per bid.
+    /// Full mode leaves it 0 and checks against the alive count per bid.
     std::uint32_t solicited = 0;
     sim::EventId timeout{};
   };
@@ -180,6 +180,12 @@ class BiddingScheduler final : public Scheduler {
   /// workers; returns how many were solicited.
   std::uint32_t solicit_probes(std::uint64_t contest_id, const workflow::Job& job);
 
+  /// This context's alive workers in ascending index order (null slots of a
+  /// federated partition never appear). Rebuilt in O(fleet) only when the
+  /// engine's liveness epoch has moved since the last build, or on every
+  /// call when the context carries no epoch.
+  std::vector<cluster::WorkerIndex>& alive_workers();
+
   /// Worker-side: handle a broadcast BidRequest at worker `w`.
   void worker_handle_bid_request(cluster::WorkerIndex w, const cluster::BidRequest& request);
 
@@ -222,8 +228,14 @@ class BiddingScheduler final : public Scheduler {
   /// full-fanout runs draw exactly the streams the historical
   /// implementation drew). Cached mode uses it for fallback re-contests.
   std::optional<RandomStream> probe_rng_;
-  std::vector<cluster::WorkerIndex> probe_scratch_;  ///< alive workers, reshuffled per contest
+  std::vector<cluster::WorkerIndex> probe_scratch_;  ///< drawn workers per contest/placement
+  std::vector<std::size_t> probe_swaps_;             ///< sample_subset's swap journal
   std::vector<net::NodeId> probe_targets_;           ///< solicited nodes per contest
+
+  /// alive_workers()' cache and the liveness epoch it was built at (empty
+  /// until the first build).
+  std::vector<cluster::WorkerIndex> alive_;
+  std::optional<std::uint64_t> alive_epoch_;
 
   /// Cached mode only: the load cache, its dedicated candidate-sampling
   /// substream ("fanout/cache"), and the placements awaiting an ack.

@@ -1,6 +1,8 @@
 #include "sched/fanout.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace dlaja::sched {
 
@@ -49,6 +51,22 @@ std::string FanoutPolicy::describe() const {
     case Mode::kFull: break;
   }
   return "full";
+}
+
+void sample_subset(std::vector<cluster::WorkerIndex>& pool, std::size_t k, RandomStream& rng,
+                   std::vector<std::size_t>& swaps, std::vector<cluster::WorkerIndex>& out) {
+  const std::size_t n = pool.size();
+  k = std::min(k, n);
+  swaps.clear();
+  out.clear();
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j =
+        i + static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n - 1 - i)));
+    std::swap(pool[i], pool[j]);
+    swaps.push_back(j);
+    out.push_back(pool[i]);
+  }
+  for (std::size_t i = k; i-- > 0;) std::swap(pool[i], pool[swaps[i]]);
 }
 
 }  // namespace dlaja::sched

@@ -20,6 +20,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
+
+#include "cluster/protocol.hpp"
+#include "util/rng.hpp"
 
 namespace dlaja::sched {
 
@@ -51,5 +55,15 @@ struct FanoutPolicy {
 
   bool operator==(const FanoutPolicy&) const = default;
 };
+
+/// Draws a seeded uniform subset of min(k, pool.size()) entries of `pool`
+/// into `out`, in draw order. The draws and the result are exactly those of
+/// a partial Fisher-Yates over a fresh copy of `pool` (draw i is
+/// rng.uniform_int(0, n - 1 - i), and slot i swaps with slot i + draw), but
+/// the cost is O(k), not O(n): the swaps happen in `pool` itself, their
+/// partner slots are journaled in `swaps`, and they are undone in reverse
+/// before returning, so `pool` comes back unchanged.
+void sample_subset(std::vector<cluster::WorkerIndex>& pool, std::size_t k, RandomStream& rng,
+                   std::vector<std::size_t>& swaps, std::vector<cluster::WorkerIndex>& out);
 
 }  // namespace dlaja::sched

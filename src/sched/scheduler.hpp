@@ -101,6 +101,14 @@ struct SchedulerContext {
     return worker_metrics.empty() ? metrics : worker_metrics[w];
   }
 
+  /// The engine's liveness epoch: it changes whenever any worker's failed()
+  /// flag flips (WorkerNode::set_failed bumps it), so a scheduler may cache
+  /// anything it derives from the alive set and rebuild it only when the
+  /// value has moved. Flags flip only at window barriers in sharded runs, so
+  /// the control shard may read it at any time. Null in bare-bones tests:
+  /// schedulers must then treat the alive set as changed on every read.
+  const std::uint64_t* liveness_epoch = nullptr;
+
   [[nodiscard]] std::size_t worker_count() const noexcept { return workers.size(); }
 
   /// Workers that are currently alive (the paper's "activeWorkers").

@@ -229,6 +229,19 @@ TEST_F(WorkerTest, FailedWorkerDropsAssignments) {
   EXPECT_TRUE(worker_->failed());
 }
 
+TEST_F(WorkerTest, LivenessEpochMovesOnlyWhenTheFlagFlips) {
+  std::uint64_t epoch = 0;
+  worker_->set_liveness_epoch(&epoch);
+  (void)worker_->set_failed(false);  // already alive: no flip
+  EXPECT_EQ(epoch, 0u);
+  (void)worker_->set_failed(true);
+  EXPECT_EQ(epoch, 1u);
+  (void)worker_->set_failed(true);  // overlapping crash: still one flip
+  EXPECT_EQ(epoch, 1u);
+  (void)worker_->set_failed(false);
+  EXPECT_EQ(epoch, 2u);
+}
+
 TEST_F(WorkerTest, FailureMidJobLosesIt) {
   worker_->enqueue(make_job(1, 7, 100.0));  // takes 3 s
   sim_.schedule_at(ticks_from_seconds(1.0), [&] {

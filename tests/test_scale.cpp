@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "sched/fanout.hpp"
 #include "test_helpers.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace dlaja {
 namespace {
@@ -415,6 +417,74 @@ TEST(Fanout, ErrorsListEveryValidMode) {
       EXPECT_NE(what.find("'cached:K'"), std::string::npos) << bad;
     }
   }
+}
+
+// --- probe subset sampling -------------------------------------------------
+
+// A worker slot as a contest sees it: outside the partition (null), failed,
+// or alive.
+enum class Slot : std::uint8_t { kNull, kDead, kAlive };
+
+// The dense reference: scan the whole fleet for alive workers, then run a
+// partial Fisher-Yates over that fresh list. This is the selection
+// sample_subset must reproduce draw for draw.
+std::vector<cluster::WorkerIndex> dense_reference(const std::vector<Slot>& fleet, std::size_t k,
+                                                  RandomStream& rng) {
+  std::vector<cluster::WorkerIndex> alive;
+  for (std::size_t w = 0; w < fleet.size(); ++w) {
+    if (fleet[w] == Slot::kAlive) alive.push_back(static_cast<cluster::WorkerIndex>(w));
+  }
+  k = std::min(k, alive.size());
+  std::vector<cluster::WorkerIndex> picked;
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = i + static_cast<std::size_t>(
+                           rng.uniform_int(0, static_cast<std::int64_t>(alive.size() - 1 - i)));
+    std::swap(alive[i], alive[j]);
+    picked.push_back(alive[i]);
+  }
+  return picked;
+}
+
+TEST(ProbeSampling, MatchesDenseFisherYatesDrawForDraw) {
+  RandomStream masks(99);
+  std::vector<std::size_t> swaps;
+  std::vector<cluster::WorkerIndex> sparse;
+  std::size_t empty_masks = 0;
+  std::size_t capped = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Random fleets, including all-null and all-dead ones.
+    const auto size = static_cast<std::size_t>(masks.uniform_int(0, 40));
+    const double p_alive = trial % 10 == 0 ? 0.0 : masks.uniform();
+    std::vector<Slot> fleet(size, Slot::kDead);
+    std::vector<cluster::WorkerIndex> alive;
+    for (std::size_t w = 0; w < size; ++w) {
+      if (masks.bernoulli(p_alive)) {
+        fleet[w] = Slot::kAlive;
+        alive.push_back(static_cast<cluster::WorkerIndex>(w));
+      } else if (masks.bernoulli(0.5)) {
+        fleet[w] = Slot::kNull;
+      }
+    }
+    const std::vector<cluster::WorkerIndex> sorted_alive = alive;
+    if (alive.empty()) ++empty_masks;
+
+    // Several contests over one cached list: each must see the list as
+    // freshly built. k runs below, at and above the alive count.
+    RandomStream dense_rng(1000 + static_cast<std::uint64_t>(trial));
+    RandomStream sparse_rng(1000 + static_cast<std::uint64_t>(trial));
+    for (std::size_t k : {std::size_t{1}, std::size_t{3}, alive.size(), alive.size() + 2}) {
+      const std::vector<cluster::WorkerIndex> want = dense_reference(fleet, k, dense_rng);
+      sched::sample_subset(alive, k, sparse_rng, swaps, sparse);
+      EXPECT_EQ(sparse, want) << "k=" << k << " alive=" << alive.size();
+      EXPECT_EQ(alive, sorted_alive) << "the pool must come back unchanged";
+      if (k > alive.size()) ++capped;
+    }
+    // Same draws consumed: the next value of both streams agrees.
+    EXPECT_EQ(sparse_rng.uniform_int(0, 1 << 30), dense_rng.uniform_int(0, 1 << 30));
+  }
+  EXPECT_GT(empty_masks, 0u);
+  EXPECT_GT(capped, 0u);
 }
 
 // --- BidSet ---------------------------------------------------------------
