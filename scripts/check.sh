@@ -48,7 +48,9 @@ done
 # test_telemetry the per-shard samplers confirmed at window barriers.
 # test_federation rides along for its 4-shard federated golden: N scheduler
 # instances sharing one broker while shard sims run on real threads.
-TSAN_TESTS=(test_thread_pool test_shard test_scale test_telemetry test_federation)
+# test_fault's executor goldens apply plan and manual faults at window
+# barriers and draw per-shard message-fault streams at 2-4 shards.
+TSAN_TESTS=(test_thread_pool test_shard test_scale test_telemetry test_federation test_fault)
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 echo "==== sanitizer pass (tsan)"
 cmake --preset tsan

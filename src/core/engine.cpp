@@ -131,11 +131,10 @@ Engine::Engine(const std::vector<cluster::WorkerConfig>& fleet,
       });
 
   // Fault machinery. Everything here is gated: a fault-free run constructs
-  // neither the lifecycle nor the injector, installs no hooks, and draws
+  // no lifecycle, schedules no fault, installs no message policy and draws
   // nothing from the fault substreams — bit-identical to builds before the
   // fault subsystem existed.
-  const bool faults_on = !config_.faults.empty();
-  if (faults_on) config_.lifecycle.enabled = true;
+  if (!config_.faults.empty()) config_.lifecycle.enabled = true;
   if (config_.lifecycle.enabled) {
     JobLifecycle::Callbacks callbacks;
     callbacks.resubmit = [this](workflow::Job job) {
@@ -155,65 +154,34 @@ Engine::Engine(const std::vector<cluster::WorkerConfig>& fleet,
     // thread, so expiries queue up and are probed at window barriers.
     if (sharded()) lifecycle_->set_barrier_probes(true);
   }
-  if (faults_on && !sharded()) {
-    fault::InjectorHooks hooks;
-    hooks.crash = [this](std::uint32_t w) { apply_crash(static_cast<WorkerIndex>(w)); };
-    hooks.recover = [this](std::uint32_t w) { apply_recover(static_cast<WorkerIndex>(w)); };
-    injector_ = std::make_unique<fault::FaultInjector>(
-        sim_, *broker_, *network_, worker_nodes_,
-        config_.faults.materialize_crashes(seeds_, workers_.size()),
-        config_.faults.degradations, config_.faults.messages, seeds_, std::move(hooks));
-    injector_->arm();
-  }
-  if (faults_on && !sharded()) {
-    // Scheduler-instance crashes are pure scheduler callbacks (no worker or
-    // network state), so plain simulator events suffice here.
-    for (const fault::SchedCrashEvent& crash : config_.faults.sched_crashes) {
-      const std::uint32_t instance = crash.instance;
-      sim_.schedule_at(crash.at, [this, instance] {
-        ++sched_crashes_;
-        scheduler_->on_scheduler_crash(instance);
-      });
-      if (crash.down_for > 0) {
-        sim_.schedule_at(crash.at + crash.down_for, [this, instance] {
-          scheduler_->on_scheduler_recovered(instance);
-        });
-      }
+  // The plan's timeline, scheduled in a fixed order (crashes, degrade
+  // windows, scheduler crashes): single-shard runs fire faults as simulator
+  // events, so this order is their same-tick order.
+  for (const fault::CrashEvent& crash :
+       config_.faults.materialize_crashes(seeds_, workers_.size())) {
+    const auto w = static_cast<WorkerIndex>(crash.worker);
+    schedule_fault(TimedFault{crash.at, TimedFault::Kind::kCrash, w});
+    if (crash.down_for > 0) {
+      schedule_fault(TimedFault{crash.at + crash.down_for, TimedFault::Kind::kRecover, w});
     }
   }
-  if (faults_on && sharded()) {
-    // Sharded runs apply crash/recover/degrade at window barriers instead of
-    // via injector events: the hooks mutate worker and network state that a
-    // shard thread may be reading mid-window. Same schedule, same substreams.
-    for (const fault::CrashEvent& crash :
-         config_.faults.materialize_crashes(seeds_, workers_.size())) {
-      const auto w = static_cast<WorkerIndex>(crash.worker);
-      fault_timeline_.push_back(TimedFault{crash.at, TimedFault::Kind::kCrash, w});
-      if (crash.down_for > 0) {
-        fault_timeline_.push_back(
-            TimedFault{crash.at + crash.down_for, TimedFault::Kind::kRecover, w});
-      }
+  for (const fault::DegradeWindow& window : config_.faults.degradations) {
+    if (window.worker >= workers_.size()) {
+      throw std::invalid_argument("fault plan: degrade worker index " +
+                                  std::to_string(window.worker) + " out of range");
     }
-    for (const fault::SchedCrashEvent& crash : config_.faults.sched_crashes) {
-      // Scheduler callbacks run on the control shard; at barriers no shard
-      // is running, so the same barrier path as worker faults is safe.
-      fault_timeline_.push_back(
-          TimedFault{crash.at, TimedFault::Kind::kSchedCrash, crash.instance});
-      if (crash.down_for > 0) {
-        fault_timeline_.push_back(TimedFault{crash.at + crash.down_for,
-                                             TimedFault::Kind::kSchedRecover, crash.instance});
-      }
-    }
-    for (const fault::DegradeWindow& window : config_.faults.degradations) {
-      if (window.worker >= workers_.size()) {
-        throw std::invalid_argument("fault plan: degrade worker index " +
-                                    std::to_string(window.worker) + " out of range");
-      }
-      const auto w = static_cast<WorkerIndex>(window.worker);
-      fault_timeline_.push_back(
-          TimedFault{window.at, TimedFault::Kind::kDegrade, w, window.factor});
-      fault_timeline_.push_back(
-          TimedFault{window.at + window.duration, TimedFault::Kind::kDegrade, w, 1.0});
+    // Windows end by restoring the nominal multiplier; overlapping windows
+    // on one node therefore resolve last-writer-wins.
+    const auto w = static_cast<WorkerIndex>(window.worker);
+    schedule_fault(TimedFault{window.at, TimedFault::Kind::kDegrade, w, window.factor});
+    schedule_fault(
+        TimedFault{window.at + window.duration, TimedFault::Kind::kDegrade, w, 1.0});
+  }
+  for (const fault::SchedCrashEvent& crash : config_.faults.sched_crashes) {
+    schedule_fault(TimedFault{crash.at, TimedFault::Kind::kSchedCrash, crash.instance});
+    if (crash.down_for > 0) {
+      schedule_fault(TimedFault{crash.at + crash.down_for, TimedFault::Kind::kSchedRecover,
+                                crash.instance});
     }
   }
 
@@ -241,7 +209,7 @@ Engine::Engine(const std::vector<cluster::WorkerConfig>& fleet,
       lifecycle_->unassignable(job);
     };
   }
-  ctx.fault_aware = faults_on || config_.lifecycle.enabled;
+  ctx.fault_aware = config_.lifecycle.enabled;
   if (telemetry_on()) {
     ctx.probes = &probes_;
     if (sharded()) {
@@ -291,22 +259,22 @@ Engine::Engine(const std::vector<cluster::WorkerConfig>& fleet,
           seeds_.seed_for("msg/delay/shard" + std::to_string(s)));
     }
     broker_->enable_sharding(std::move(layout));
+  }
 
-    if (faults_on && config_.faults.messages.any()) {
-      // Per-shard message-fault streams: each shard draws its drop/dup
-      // bernoullis independently so the policy never contends across
-      // threads. Draw order matches the injector's (drop first, then dup).
-      const fault::MessageFaults messages = config_.faults.messages;
-      for (std::size_t s = 0; s < 1 + shards_.size(); ++s) {
-        auto rng = std::make_shared<RandomStream>(
-            seeds_.seed_for("fault/messages/shard" + std::to_string(s)));
-        broker_->set_shard_fault_policy(
-            s, [rng, messages](net::NodeId, net::NodeId) -> std::uint32_t {
-              if (messages.drop_p > 0.0 && rng->bernoulli(messages.drop_p)) return 0;
-              if (messages.dup_p > 0.0 && rng->bernoulli(messages.dup_p)) return 2;
-              return 1;
-            });
-      }
+  if (config_.faults.messages.any()) {
+    // One drop/dup stream per broker shard, consulted for the deliveries its
+    // senders make, so the policy never contends across threads. Per
+    // delivery, in event order: drop first, then dup, never both.
+    const fault::MessageFaults messages = config_.faults.messages;
+    for (std::size_t s = 0; s < 1 + shards_.size(); ++s) {
+      auto rng = std::make_shared<RandomStream>(seeds_.seed_for(
+          sharded() ? "fault/messages/shard" + std::to_string(s) : "fault/messages"));
+      broker_->set_shard_fault_policy(
+          s, [rng, messages](net::NodeId, net::NodeId) -> std::uint32_t {
+            if (messages.drop_p > 0.0 && rng->bernoulli(messages.drop_p)) return 0;
+            if (messages.dup_p > 0.0 && rng->bernoulli(messages.dup_p)) return 2;
+            return 1;
+          });
     }
   }
 }
@@ -335,27 +303,23 @@ cluster::WorkerNode& Engine::worker(WorkerIndex w) {
 }
 
 void Engine::fail_worker_at(WorkerIndex w, Tick at) {
-  (void)worker(w);  // validates the index up front
-  if (sharded()) {
-    // Barrier-applied in sharded runs; the event path would mutate worker
-    // state owned by a shard thread mid-window.
-    fault_timeline_.push_back(TimedFault{at, TimedFault::Kind::kCrash, w});
-    return;
-  }
-  auto crash = [this, w] { apply_crash(w); };
-  static_assert(sim::InlineAction::fits_inline<decltype(crash)>());
-  sim_.schedule_at(at, std::move(crash));
+  schedule_fault(TimedFault{at, TimedFault::Kind::kCrash, worker(w).index()});
 }
 
 void Engine::recover_worker_at(WorkerIndex w, Tick at) {
-  (void)worker(w);
+  schedule_fault(TimedFault{at, TimedFault::Kind::kRecover, worker(w).index()});
+}
+
+void Engine::schedule_fault(const TimedFault& fault) {
   if (sharded()) {
-    fault_timeline_.push_back(TimedFault{at, TimedFault::Kind::kRecover, w});
+    // Applied at window barriers: an event would mutate worker and network
+    // state that a shard thread may be reading mid-window.
+    fault_timeline_.push_back(fault);
     return;
   }
-  auto recover = [this, w] { apply_recover(w); };
-  static_assert(sim::InlineAction::fits_inline<decltype(recover)>());
-  sim_.schedule_at(at, std::move(recover));
+  auto fire = [this, fault] { apply_timed_fault(fault); };
+  static_assert(sim::InlineAction::fits_inline<decltype(fire)>());
+  sim_.schedule_at(fault.at, std::move(fire));
 }
 
 void Engine::apply_crash(WorkerIndex w) {
@@ -706,7 +670,7 @@ void Engine::finish_telemetry() {
 }
 
 void Engine::run_windows() {
-  // Stable: simultaneous faults apply in schedule order (injector parity).
+  // Stable: simultaneous faults apply in schedule order, as events would.
   std::stable_sort(fault_timeline_.begin(), fault_timeline_.end(),
                    [](const TimedFault& a, const TimedFault& b) { return a.at < b.at; });
   std::size_t next_fault = 0;
@@ -963,7 +927,7 @@ metrics::RunReport Engine::finish_run() {
 
   // fault.* counters exist only when the fault machinery was on, so
   // fault-free CSVs keep their exact pre-fault column set.
-  if (injector_ || lifecycle_) {
+  if (lifecycle_) {
     registry.counter("fault.crashes").add(static_cast<double>(crashes_));
     registry.counter("fault.recoveries").add(static_cast<double>(recoveries_));
     registry.counter("fault.msg_dropped").add(static_cast<double>(broker_stats.fault_dropped));

@@ -15,7 +15,6 @@
 #include "cluster/config.hpp"
 #include "cluster/worker.hpp"
 #include "core/lifecycle.hpp"
-#include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "metrics/collector.hpp"
 #include "metrics/report.hpp"
@@ -203,9 +202,9 @@ class Engine {
     explicit Shard(std::size_t workers) : metrics(workers) {}
   };
 
-  /// A fault application pinned to a tick, applied at window barriers in
-  /// sharded runs (the injector's event-driven path would mutate worker
-  /// state mid-window).
+  /// One fault application pinned to a tick. Every plan clause and every
+  /// fail_worker_at/recover_worker_at call becomes these, handed to
+  /// schedule_fault.
   struct TimedFault {
     enum class Kind : std::uint8_t { kCrash, kRecover, kDegrade, kSchedCrash, kSchedRecover };
     Tick at = 0;
@@ -221,6 +220,11 @@ class Engine {
   /// lifecycle probes and apply due timeline faults.
   void run_windows();
 
+  /// The one place that chooses how a fault is applied: a simulator event
+  /// calling apply_timed_fault (single shard), or an entry in
+  /// fault_timeline_ that run_windows applies at a barrier (sharded: an
+  /// event would mutate worker state a shard thread may be reading).
+  void schedule_fault(const TimedFault& fault);
   void apply_timed_fault(const TimedFault& fault);
   void master_handle_completion(const cluster::CompletionReport& report,
                                 const workflow::Job& job);
@@ -306,14 +310,13 @@ class Engine {
   std::uint64_t crashes_ = 0;
   std::uint64_t recoveries_ = 0;
   std::uint64_t sched_crashes_ = 0;
-  /// Both null in fault-free runs: nothing is constructed, armed or drawn.
+  /// Null unless the lifecycle is on (a fault plan always turns it on).
   std::unique_ptr<JobLifecycle> lifecycle_;
-  std::unique_ptr<fault::FaultInjector> injector_;
   /// Sharded execution state; all empty/zero in single-shard runs.
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::uint32_t> worker_shard_;  ///< WorkerIndex -> shards_ index
   Tick lookahead_ = 0;
-  std::vector<TimedFault> fault_timeline_;  ///< sorted by run_windows()
+  std::vector<TimedFault> fault_timeline_;  ///< sharded runs; sorted by run_windows()
   /// Latest barrier-applied fault tick: counts as run progress for the
   /// telemetry end-of-series computation (single-shard runs execute faults
   /// as ordinary events, so last_fired_at() already covers them there).

@@ -135,7 +135,6 @@ class JobLifecycle {
   /// is running.
   void set_barrier_probes(bool on) noexcept { barrier_probes_ = on; }
   void run_barrier_probes();
-  [[nodiscard]] bool barrier_probes_pending() const noexcept { return !due_probes_.empty(); }
 
  private:
   struct Entry {

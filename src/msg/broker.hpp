@@ -204,16 +204,11 @@ class Broker {
   /// fault-injection tests.
   void set_node_down(net::NodeId node, bool down);
 
-  /// Installs (or clears, with nullptr) the per-delivery fault policy. With
-  /// no policy installed the broker behaves bit-identically to a fault-free
-  /// build — the hook is never consulted. Single-shard form; sharded runs
-  /// install one policy per shard with set_shard_fault_policy.
-  void set_fault_policy(FaultPolicy policy) {
-    shards_.front().fault_policy = std::move(policy);
-  }
-
-  /// Per-shard fault policy (sharded runs): consulted for deliveries whose
-  /// *sender* lives on `shard`, from that shard's thread.
+  /// Installs (or clears, with nullptr) the per-delivery fault policy of
+  /// `shard` (0 in single-shard runs): consulted for deliveries whose
+  /// *sender* lives on that shard, from that shard's thread. With no policy
+  /// installed the broker behaves bit-identically to a fault-free build —
+  /// the hook is never consulted.
   void set_shard_fault_policy(std::size_t shard, FaultPolicy policy);
 
   // --- Sharded execution ------------------------------------------------

@@ -9,12 +9,12 @@ namespace dlaja {
 
 void ArgParser::add_option(const std::string& name, std::string default_value,
                            std::string help) {
-  options_[name] = Option{std::move(default_value), std::move(help), false, false};
+  options_[name] = Option{std::move(default_value), std::move(help), false, false, false, {}};
   option_order_.push_back(name);
 }
 
 void ArgParser::add_flag(const std::string& name, std::string help) {
-  options_[name] = Option{"", std::move(help), true, false};
+  options_[name] = Option{"", std::move(help), true, false, false, {}};
   option_order_.push_back(name);
 }
 

@@ -8,7 +8,7 @@
 //   dlaja_run --scheduler baseline --jobs 240 --iters 5 --noise lognormal:0.5
 //   dlaja_run --scheduler bidding --estimation historic --csv runs.csv
 //   dlaja_run --scenario examples/scenarios/paper_bidding.json
-//   dlaja_run --scenario federated_2x.json --set scheduler.fanout=cached:8 \
+//   dlaja_run --scenario federated_2x.json --set scheduler.fanout=cached:8
 //             --set scheduler.federation.partitions=4
 //
 // Spec sources compose by one precedence rule: flags < scenario < --set.
